@@ -411,133 +411,48 @@ impl Msckf {
     fn feature_update(&mut self, camera: &PinholeCamera, feature_ids: &[u64], timer: &mut KernelTimer) {
         let n = self.state_dim();
         // [Jacobian] triangulation + per-feature Jacobians with nullspace
-        // projection.
+        // projection, written straight into the stacked row-major H.
         let (h_all, r_all) = timer.time(Kernel::Jacobian, feature_ids.len(), || {
-            let mut h_rows: Vec<Matrix> = Vec::new();
+            let mut h_data: Vec<f64> = Vec::new();
             let mut r_rows: Vec<f64> = Vec::new();
             for &fid in feature_ids {
-                let Some(obs) = self.tracks.get(&fid) else { continue };
-                // Gather (pose, pixel) pairs for observations whose clones
-                // are still in the window.
-                let mut pairs: Vec<(Pose, Vec2, usize)> = Vec::new();
-                for o in obs {
-                    if let Some(k) = self.clones.iter().position(|c| c.id == o.clone_id) {
-                        pairs.push((
-                            Pose::new(self.clones[k].rotation, self.clones[k].position),
-                            o.pixel,
-                            k,
-                        ));
-                    }
-                }
-                if pairs.len() < self.cfg.min_track_length {
-                    continue;
-                }
-                let tri_input: Vec<(Pose, Vec2)> = pairs.iter().map(|&(p, z, _)| (p, z)).collect();
-                let Ok(p_f) = triangulate_multi_view(camera, &tri_input) else {
-                    continue;
-                };
-                let m = pairs.len();
-                let mut h_x = Matrix::zeros(2 * m, n);
-                let mut h_f = Matrix::zeros(2 * m, 3);
-                let mut resid = Vector::zeros(2 * m);
-                let mut ok = true;
-                for (row, (pose, z, k)) in pairs.iter().enumerate() {
-                    let p_cam = pose.inverse_transform(p_f);
-                    if p_cam.z <= 0.05 {
-                        ok = false;
-                        break;
-                    }
-                    let Some(pred) = camera.project(p_cam) else {
-                        ok = false;
-                        break;
-                    };
-                    let r = *z - pred;
-                    if r.norm() > self.cfg.residual_gate_px {
-                        ok = false;
-                        break;
-                    }
-                    resid[2 * row] = r.x;
-                    resid[2 * row + 1] = r.y;
-                    let j_pi = camera.projection_jacobian(p_cam);
-                    let rot_t = pose.rotation.conjugate().to_matrix();
-                    // H_f = Jπ · R̂ᵀ
-                    let jf = mat2x3_mul(&j_pi, &rot_t);
-                    // H_θ = Jπ · R̂ᵀ · hat(p_f − p_clone)
-                    let jtheta = mat2x3_mul3(&jf, &Mat3::hat(p_f - pose.translation));
-                    let off = self.clone_offset(*k);
-                    for c in 0..3 {
-                        h_f[(2 * row, c)] = jf[0][c];
-                        h_f[(2 * row + 1, c)] = jf[1][c];
-                        h_x[(2 * row, off + c)] = jtheta[0][c];
-                        h_x[(2 * row + 1, off + c)] = jtheta[1][c];
-                        h_x[(2 * row, off + 3 + c)] = -jf[0][c];
-                        h_x[(2 * row + 1, off + 3 + c)] = -jf[1][c];
-                    }
-                }
-                if !ok || 2 * m <= 3 {
-                    continue;
-                }
-                // Nullspace projection: drop the 3 rows spanned by H_f.
-                let Ok(qr) = Qr::factor(&h_f) else { continue };
-                let mut projected = Matrix::zeros(2 * m - 3, n + 1);
-                // Apply Qᵀ column-by-column to [H_x | r], keep rows 3…
-                for col in 0..n {
-                    let v = qr.qt_mul(&h_x.col(col));
-                    for row in 3..2 * m {
-                        projected[(row - 3, col)] = v[row];
-                    }
-                }
-                let v = qr.qt_mul(&resid);
-                for row in 3..2 * m {
-                    projected[(row - 3, n)] = v[row];
-                }
-                for row in 0..2 * m - 3 {
-                    let mut hrow = Matrix::zeros(1, n);
-                    for col in 0..n {
-                        hrow[(0, col)] = projected[(row, col)];
-                    }
-                    h_rows.push(hrow);
-                    r_rows.push(projected[(row, n)]);
+                if let Some(fj) = self.feature_jacobian(camera, fid) {
+                    fj.project_nullspace(n, &mut h_data, &mut r_rows);
                 }
             }
-            if h_rows.is_empty() {
-                (Matrix::zeros(0, n), Vector::zeros(0))
-            } else {
-                let mut h = Matrix::zeros(h_rows.len(), n);
-                for (i, row) in h_rows.iter().enumerate() {
-                    h.set_block(i, 0, row).expect("row fits");
-                }
-                (h, Vector::from_vec(r_rows))
-            }
+            let rows = r_rows.len();
+            (Matrix::from_vec(rows, n, h_data), Vector::from_vec(r_rows))
         });
 
         if h_all.rows() == 0 {
             return;
         }
 
-        // [QR] measurement compression when over-determined.
-        let (h_used, r_used) = timer.time(Kernel::QrCompression, h_all.rows(), || {
+        // [QR] measurement compression when over-determined: H = Q·R, so
+        // the update can use the n × n upper-triangular R and (Qᵀr)[..n].
+        let compressed = timer.time(Kernel::QrCompression, h_all.rows(), || {
             if h_all.rows() > n {
-                match Qr::factor(&h_all) {
-                    Ok(qr) => {
-                        let r_mat = qr.r();
-                        let qtr = qr.qt_mul(&r_all);
-                        (r_mat, qtr.segment(0, n))
-                    }
-                    Err(_) => (h_all.clone(), r_all.clone()),
-                }
+                Qr::factor(&h_all)
+                    .ok()
+                    .map(|qr| (qr.r(), qr.qt_mul(&r_all).segment(0, n)))
             } else {
-                (h_all.clone(), r_all.clone())
+                None
             }
         });
+        let upper = compressed.is_some();
+        let (h_used, r_used) = compressed.unwrap_or((h_all, r_all));
 
         let rows = h_used.rows();
-        // [Cov] innovation covariance S = H P Hᵀ + σ²I and P·Hᵀ.
+        // [Cov] innovation covariance S = H P Hᵀ + σ²I and P·Hᵀ. A
+        // compressed H = R is upper-triangular; its structural zeros are
+        // skipped (bit-identical, see `Matrix::matmul_upper`).
         let (s, pht) = timer.time(Kernel::Covariance, rows, || {
-            let pht = self
-                .cov
-                .matmul(&h_used.transpose())
-                .expect("P·Hᵀ dimensions");
+            let pht = if upper {
+                self.cov.matmul_upper_tr(&h_used)
+            } else {
+                self.cov.matmul(&h_used.transpose())
+            }
+            .expect("P·Hᵀ dimensions");
             let mut s = h_used.matmul(&pht).expect("H·P·Hᵀ dimensions");
             let sigma2 = self.cfg.sigma_px * self.cfg.sigma_px;
             s.add_diag(sigma2);
@@ -557,11 +472,84 @@ impl Msckf {
         let dx = k.matvec(&r_used);
         self.apply_correction(&dx);
         // Covariance: P ← (I − K·H)·P, then symmetrize.
-        let kh = k.matmul(&h_used).expect("K·H dimensions");
+        let kh = if upper {
+            k.matmul_upper(&h_used)
+        } else {
+            k.matmul(&h_used)
+        }
+        .expect("K·H dimensions");
         let mut ikh = Matrix::identity(n);
         ikh -= &kh;
         self.cov = ikh.matmul(&self.cov).expect("covariance update");
         self.cov.symmetrize();
+    }
+
+    /// Triangulates one feature and builds its measurement Jacobians, or
+    /// `None` when the track is too short, fails to triangulate, lands
+    /// behind a camera or fails the residual gate.
+    fn feature_jacobian(&self, camera: &PinholeCamera, fid: u64) -> Option<FeatureJacobian> {
+        let obs = self.tracks.get(&fid)?;
+        // Gather (pose, pixel, window slot) for observations whose clones
+        // are still in the window.
+        let mut pairs: Vec<(Pose, Vec2, usize)> = Vec::new();
+        for o in obs {
+            if let Some(k) = self.clones.iter().position(|c| c.id == o.clone_id) {
+                pairs.push((
+                    Pose::new(self.clones[k].rotation, self.clones[k].position),
+                    o.pixel,
+                    k,
+                ));
+            }
+        }
+        if pairs.len() < self.cfg.min_track_length {
+            return None;
+        }
+        let tri_input: Vec<(Pose, Vec2)> = pairs.iter().map(|&(p, z, _)| (p, z)).collect();
+        let p_f = triangulate_multi_view(camera, &tri_input).ok()?;
+        let m = pairs.len();
+        if 2 * m <= 3 {
+            return None;
+        }
+        // H_x is zero outside the 6 columns of each observed clone, so only
+        // those are stored: slot s of `slots` owns local columns 6s..6s+6.
+        let mut slots: Vec<usize> = pairs.iter().map(|&(_, _, k)| k).collect();
+        slots.sort_unstable();
+        slots.dedup();
+        let w = CLONE_DIM * slots.len();
+        let mut h_f = Matrix::zeros(2 * m, 3);
+        let mut h_xr = Matrix::zeros(2 * m, w + 1);
+        for (row, (pose, z, k)) in pairs.iter().enumerate() {
+            let p_cam = pose.inverse_transform(p_f);
+            if p_cam.z <= 0.05 {
+                return None;
+            }
+            let pred = camera.project(p_cam)?;
+            let r = *z - pred;
+            if r.norm() > self.cfg.residual_gate_px {
+                return None;
+            }
+            let j_pi = camera.projection_jacobian(p_cam);
+            let rot_t = pose.rotation.conjugate().to_matrix();
+            // H_f = Jπ · R̂ᵀ
+            let jf = mat2x3_mul(&j_pi, &rot_t);
+            // H_θ = Jπ · R̂ᵀ · hat(p_f − p_clone)
+            let jtheta = mat2x3_mul(&jf, &Mat3::hat(p_f - pose.translation));
+            let off = CLONE_DIM * slots.binary_search(k).expect("slot of an observed clone");
+            for (d, r_d) in [r.x, r.y].into_iter().enumerate() {
+                let h_row = h_xr.row_mut(2 * row + d);
+                for c in 0..3 {
+                    h_row[off + c] = jtheta[d][c];
+                    h_row[off + 3 + c] = -jf[d][c];
+                }
+                h_row[w] = r_d;
+                h_f.row_mut(2 * row + d).copy_from_slice(&jf[d]);
+            }
+        }
+        Some(FeatureJacobian {
+            h_f,
+            h_xr,
+            offsets: slots.iter().map(|&k| self.clone_offset(k)).collect(),
+        })
     }
 
     /// Applies an error-state correction to the nominal state.
@@ -661,6 +649,44 @@ impl Msckf {
     }
 }
 
+/// One feature's linearized measurement, before nullspace projection.
+#[derive(Debug)]
+struct FeatureJacobian {
+    /// `H_f`, `2m × 3`: the Jacobian with respect to the feature position.
+    h_f: Matrix,
+    /// `[H_x | r]` restricted to the observed clones: `2m × (6c + 1)`, the
+    /// last column being the residual.
+    h_xr: Matrix,
+    /// Error-state offset of each observed clone, in local column order.
+    offsets: Vec<usize>,
+}
+
+impl FeatureJacobian {
+    /// Projects `[H_x | r]` onto the left nullspace of `H_f` (dropping the
+    /// 3 rows `H_f` spans) and appends the resulting rows to the stacked,
+    /// row-major `h` (width `n`) and `r`.
+    ///
+    /// `Qᵀ` is applied only to the observed clones' columns: every other
+    /// column of `H_x` is zero and `Qᵀ·0` is exactly `+0`, the value `h` is
+    /// padded with, so this is bit-identical to projecting all `n` columns.
+    fn project_nullspace(&self, n: usize, h: &mut Vec<f64>, r: &mut Vec<f64>) {
+        let Ok(qr) = Qr::factor(&self.h_f) else { return };
+        let projected = qr.qt_mul_matrix(&self.h_xr);
+        let w = self.h_xr.cols() - 1;
+        for row in 3..projected.rows() {
+            let src = projected.row(row);
+            let start = h.len();
+            h.resize(start + n, 0.0);
+            let dst = &mut h[start..];
+            for (slot, &off) in self.offsets.iter().enumerate() {
+                dst[off..off + CLONE_DIM]
+                    .copy_from_slice(&src[CLONE_DIM * slot..CLONE_DIM * (slot + 1)]);
+            }
+            r.push(src[w]);
+        }
+    }
+}
+
 /// `(2×3) · (3×3)` helper on array Jacobians.
 fn mat2x3_mul(j: &[[f64; 3]; 2], m: &Mat3) -> [[f64; 3]; 2] {
     let mut out = [[0.0; 3]; 2];
@@ -670,11 +696,6 @@ fn mat2x3_mul(j: &[[f64; 3]; 2], m: &Mat3) -> [[f64; 3]; 2] {
         }
     }
     out
-}
-
-/// Same as [`mat2x3_mul`] for the second factor in the chain.
-fn mat2x3_mul3(j: &[[f64; 3]; 2], m: &Mat3) -> [[f64; 3]; 2] {
-    mat2x3_mul(j, m)
 }
 
 #[cfg(test)]
@@ -771,15 +792,7 @@ mod tests {
     #[test]
     fn visual_updates_bound_drift() {
         let cam = camera();
-        let landmarks: Vec<Vec3> = (0..40)
-            .map(|i| {
-                Vec3::new(
-                    (i % 8) as f64 * 1.2 - 4.0,
-                    ((i / 8) % 5) as f64 * 1.0 - 2.0,
-                    6.0 + (i % 3) as f64,
-                )
-            })
-            .collect();
+        let landmarks = grid_landmarks(40);
         let dt_frame = 0.1;
         let imu_dt = 0.005;
         let gyro_bias = Vec3::new(0.002, -0.001, 0.0015);
@@ -896,6 +909,119 @@ mod tests {
         assert!(kinds.contains(&Kernel::Jacobian), "kinds: {kinds:?}");
         assert!(kinds.contains(&Kernel::Covariance), "kinds: {kinds:?}");
         assert!(kinds.contains(&Kernel::KalmanGain), "kinds: {kinds:?}");
+    }
+
+    /// A filter moving at 0.5 m/s along x that has cloned `frames` poses
+    /// and recorded every in-view landmark at each clone, without running
+    /// an update.
+    fn observed_window(cam: &PinholeCamera, max_clones: usize, frames: u64) -> Msckf {
+        let mut f = Msckf::new(MsckfConfig {
+            max_clones,
+            ..MsckfConfig::default()
+        });
+        f.initialize(Pose::identity(), Vec3::new(0.5, 0.0, 0.0), 0.0);
+        for frame in 1..=frames {
+            let t0 = (frame - 1) as f64 * 0.1;
+            let readings: Vec<ImuReading> = (1..=20)
+                .map(|i| rest_reading(t0 + i as f64 * 0.005))
+                .collect();
+            f.propagate(&readings);
+            let cid = f.augment_clone();
+            let pose = Pose::new(
+                Quaternion::identity(),
+                Vec3::new(0.05 * frame as f64, 0.0, 0.0),
+            );
+            for (li, lm) in grid_landmarks(16).iter().enumerate() {
+                if let Some(px) = cam.project_in_bounds(pose.inverse_transform(*lm)) {
+                    f.record_observation(li as u64, cid, px);
+                }
+            }
+        }
+        f
+    }
+
+    /// Fixed landmarks 6–8 m in front of the camera, 8 per row.
+    fn grid_landmarks(count: usize) -> Vec<Vec3> {
+        (0..count)
+            .map(|i| {
+                Vec3::new(
+                    (i % 8) as f64 * 1.2 - 4.0,
+                    ((i / 8) % 5) as f64 * 1.0 - 2.0,
+                    6.0 + (i % 3) as f64,
+                )
+            })
+            .collect()
+    }
+
+    /// Reference: the full-width projection — `Qᵀ` applied to every one of
+    /// the `n` columns of `H_x`, one `qt_mul` per column, then the residual.
+    fn full_width_projection(fj: &FeatureJacobian, n: usize) -> (Vec<f64>, Vec<f64>) {
+        let rows = fj.h_xr.rows();
+        let w = fj.h_xr.cols() - 1;
+        let mut h_x = Matrix::zeros(rows, n);
+        for r in 0..rows {
+            for (slot, &off) in fj.offsets.iter().enumerate() {
+                for c in 0..CLONE_DIM {
+                    h_x[(r, off + c)] = fj.h_xr[(r, CLONE_DIM * slot + c)];
+                }
+            }
+        }
+        let qr = Qr::factor(&fj.h_f).unwrap();
+        let mut projected = Matrix::zeros(rows - 3, n);
+        for col in 0..n {
+            let v = qr.qt_mul(&h_x.col(col));
+            for row in 3..rows {
+                projected[(row - 3, col)] = v[row];
+            }
+        }
+        let v = qr.qt_mul(&fj.h_xr.col(w));
+        (projected.into_vec(), v.as_slice()[3..].to_vec())
+    }
+
+    #[test]
+    fn column_restricted_projection_matches_full_width() {
+        let cam = camera();
+        let f = observed_window(&cam, 30, 8);
+        let n = f.state_dim();
+        let mut checked = 0;
+        for fid in 0..16u64 {
+            let Some(fj) = f.feature_jacobian(&cam, fid) else { continue };
+            let (mut h, mut r) = (Vec::new(), Vec::new());
+            fj.project_nullspace(n, &mut h, &mut r);
+            let (h_ref, r_ref) = full_width_projection(&fj, n);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&h), bits(&h_ref), "feature {fid}: H rows");
+            assert_eq!(bits(&r), bits(&r_ref), "feature {fid}: residual");
+            assert!(fj.offsets.len() > 2 && r.len() == 2 * fj.offsets.len() - 3);
+            checked += 1;
+        }
+        assert!(checked >= 8, "only {checked} features projected");
+    }
+
+    #[test]
+    fn full_window_burst_update_compresses_and_prunes() {
+        // The paper's 30-clone window: once full, the update consumes every
+        // track touching the 10 oldest clones, stacks more rows than the
+        // 195-dim state and runs the QR-compressed path.
+        let cam = camera();
+        let mut f = observed_window(&cam, 30, 30);
+        assert_eq!(f.state_dim(), 195);
+        let mut timer = KernelTimer::new();
+        let seen: std::collections::HashSet<u64> = (0..16).collect();
+        f.update_from_tracks(&cam, &seen, &mut timer);
+        assert_eq!(f.window_len(), 20, "first prune drops the 10 oldest clones");
+        let qr = timer
+            .samples()
+            .iter()
+            .find(|s| s.kernel == Kernel::QrCompression)
+            .expect("QR compression ran");
+        assert!(qr.size > 195, "only {} stacked rows", qr.size);
+        let kinds: Vec<Kernel> = timer.samples().iter().map(|s| s.kernel).collect();
+        assert!(kinds.contains(&Kernel::KalmanGain), "kinds: {kinds:?}");
+        let pose = f.pose().unwrap();
+        assert!(pose.translation.x.is_finite() && (pose.translation.x - 1.5).abs() < 0.5);
+        assert_eq!(f.cov.shape(), (135, 135));
+        assert!(f.cov.asymmetry() == 0.0);
     }
 
     #[test]

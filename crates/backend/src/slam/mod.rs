@@ -161,7 +161,10 @@ impl Slam {
     /// Exports the accumulated map for later registration (paper:
     /// "persist map (optional)").
     pub fn persist_map(&self) -> WorldMap {
-        let points = self
+        // Sorted by id: `landmarks` is a randomly seeded `HashMap`, and
+        // registration breaks ties by point order, so an unsorted survey
+        // would make map-armed sessions irreproducible.
+        let mut points: Vec<MapPoint> = self
             .landmarks
             .iter()
             .map(|(&id, l)| MapPoint {
@@ -170,6 +173,7 @@ impl Slam {
                 descriptor: l.descriptor,
             })
             .collect();
+        points.sort_unstable_by_key(|p| p.id);
         let keyframes = self
             .archived
             .iter()

@@ -1,6 +1,6 @@
 //! Shared harness for the experiment regenerators.
 //!
-//! One binary per table/figure group of the paper (see DESIGN.md §3):
+//! One binary per table/figure group of the paper:
 //!
 //! | Binary | Regenerates |
 //! |---|---|

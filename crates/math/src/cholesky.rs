@@ -5,10 +5,13 @@
 //! (paper Eq. 1). The paper's backend accelerator exploits that symmetry to
 //! halve compute and storage (Sec. VI-A "Optimization"); the CPU
 //! implementation here does the same by only touching the lower triangle.
+//! Solves substitute row-oriented over all right-hand sides at once and
+//! read `Lᵀ` straight out of `L`, bit-identical to column-by-column
+//! substitution (see [`Cholesky::solve_matrix`]).
 
 use crate::error::MathError;
 use crate::matrix::Matrix;
-use crate::solve::{backward_substitute, forward_substitute};
+use crate::solve::{backward_rows, column, forward_rows, into_vector};
 use crate::vector::Vector;
 use crate::Result;
 
@@ -36,6 +39,14 @@ impl Cholesky {
     /// Only the lower triangle of `a` is read, so callers may pass matrices
     /// whose upper triangle carries numerical noise.
     ///
+    /// The factor is built right-looking on `U = Lᵀ`, where column `k` of
+    /// `L` is the contiguous row `k`: once that row is final, every later
+    /// row `j` subtracts `L[j][k]·U[k][j..]` in one vectorisable sweep.
+    /// Each entry still starts from `a[i][j]`, subtracts
+    /// `L[i][k]·L[j][k]` in ascending `k` and ends with the same square
+    /// root or division, so `L` is bit-identical to the entry-by-entry
+    /// dot-product form, which waits on one serial chain per entry.
+    ///
     /// # Errors
     ///
     /// [`MathError::NotSquare`] for rectangular input and
@@ -45,24 +56,40 @@ impl Cholesky {
             return Err(MathError::NotSquare { shape: a.shape() });
         }
         let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
+        let mut u = Matrix::zeros(n, n);
         for i in 0..n {
             for j in 0..=i {
-                let mut s = a[(i, j)];
-                for k in 0..j {
-                    s -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if s <= 0.0 || !s.is_finite() {
-                        return Err(MathError::NotPositiveDefinite);
-                    }
-                    l[(i, j)] = s.sqrt();
-                } else {
-                    l[(i, j)] = s / l[(j, j)];
+                u[(j, i)] = a[(i, j)];
+            }
+        }
+        for k in 0..n {
+            let (head, tail) = u.as_mut_slice().split_at_mut((k + 1) * n);
+            let uk = &mut head[k * n..];
+            let d = uk[k];
+            if d <= 0.0 || !d.is_finite() {
+                return Err(MathError::NotPositiveDefinite);
+            }
+            uk[k] = d.sqrt();
+            let pivot = uk[k];
+            for x in &mut uk[k + 1..] {
+                *x /= pivot;
+            }
+            for (j, uj) in (k + 1..n).zip(tail.chunks_exact_mut(n)) {
+                let f = uk[j];
+                for (x, &y) in uj[j..].iter_mut().zip(&uk[j..]) {
+                    *x -= f * y;
                 }
             }
         }
-        Ok(Cholesky { l })
+        // U → L in place; U's strictly lower part is still +0.
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let upper = u[(i, j)];
+                u[(i, j)] = u[(j, i)];
+                u[(j, i)] = upper;
+            }
+        }
+        Ok(Cholesky { l: u })
     }
 
     /// The lower-triangular factor `L`.
@@ -80,22 +107,43 @@ impl Cholesky {
         self.l.rows()
     }
 
-    /// Solves `A x = b` via two triangular substitutions.
+    /// Solves `A x = b` via two triangular substitutions; the one-column
+    /// case of [`Cholesky::solve_matrix`].
     ///
     /// # Errors
     ///
     /// [`MathError::DimensionMismatch`] when `b.len()` differs from the
-    /// factored dimension.
+    /// factored dimension, and [`MathError::Singular`] when a diagonal
+    /// entry of `L` is below [`crate::solve::PIVOT_EPS`].
     pub fn solve(&self, b: &Vector) -> Result<Vector> {
-        let y = forward_substitute(&self.l, b)?;
-        backward_substitute(&self.l.transpose(), &y)
+        if b.len() != self.dim() {
+            return Err(MathError::DimensionMismatch {
+                left: self.l.shape(),
+                right: (b.len(), 1),
+            });
+        }
+        let mut x = column(b);
+        self.substitute(&mut x)?;
+        Ok(into_vector(x))
     }
 
-    /// Solves `A X = B` column-by-column.
+    /// Solves `A X = B` for all right-hand sides at once: `L·Y = B` by
+    /// forward substitution, then `Lᵀ·X = Y` by backward substitution that
+    /// reads `L[j][i]` in place of forming `Lᵀ`.
+    ///
+    /// Both passes are row-oriented (`X[i,:] -= L[i][j]·X[j,:]`): each
+    /// coefficient of `L` is applied across the right-hand sides, up to 16
+    /// at a time held in registers. Each element still sees the same
+    /// subtractions in the same order and the same division as a
+    /// column-by-column solve, so the result is bit-identical to solving
+    /// each column separately.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Cholesky::solve`].
+    /// [`MathError::DimensionMismatch`] when `b.rows()` differs from the
+    /// factored dimension, and [`MathError::Singular`] when `b` has at
+    /// least one column and a diagonal entry of `L` is below
+    /// [`crate::solve::PIVOT_EPS`].
     pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
         if b.rows() != self.dim() {
             return Err(MathError::DimensionMismatch {
@@ -103,14 +151,16 @@ impl Cholesky {
                 right: b.shape(),
             });
         }
-        let mut out = Matrix::zeros(b.rows(), b.cols());
-        for j in 0..b.cols() {
-            let x = self.solve(&b.col(j))?;
-            for i in 0..b.rows() {
-                out[(i, j)] = x[i];
-            }
-        }
-        Ok(out)
+        let mut x = b.clone();
+        self.substitute(&mut x)?;
+        Ok(x)
+    }
+
+    /// `X ← A⁻¹·X` in place.
+    fn substitute(&self, x: &mut Matrix) -> Result<()> {
+        let l = &self.l;
+        forward_rows(x, |i, j| l[(i, j)], |i| Some(l[(i, i)]))?;
+        backward_rows(x, |i, j| l[(j, i)], |i| Some(l[(i, i)]))
     }
 
     /// Inverse of the factored matrix (solves against the identity).

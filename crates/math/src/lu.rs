@@ -3,7 +3,7 @@
 
 use crate::error::MathError;
 use crate::matrix::Matrix;
-use crate::solve::PIVOT_EPS;
+use crate::solve::{backward_rows, forward_rows, into_vector, PIVOT_EPS};
 use crate::vector::Vector;
 use crate::Result;
 
@@ -87,7 +87,7 @@ impl Lu {
         self.lu.rows()
     }
 
-    /// Solves `A x = b`.
+    /// Solves `A x = b`; the one-column case of [`Lu::solve_matrix`].
     ///
     /// # Errors
     ///
@@ -101,30 +101,22 @@ impl Lu {
                 right: (b.len(), 1),
             });
         }
-        // Apply permutation, then packed forward/backward substitution.
-        let mut x = Vector::from_iter(self.perm.iter().map(|&p| b[p]));
-        for i in 0..n {
-            let mut s = x[i];
-            for j in 0..i {
-                s -= self.lu[(i, j)] * x[j];
-            }
-            x[i] = s; // L has unit diagonal
-        }
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            for j in (i + 1)..n {
-                s -= self.lu[(i, j)] * x[j];
-            }
-            x[i] = s / self.lu[(i, i)];
-        }
-        Ok(x)
+        let mut x = Matrix::from_vec(n, 1, self.perm.iter().map(|&p| b[p]).collect());
+        self.substitute(&mut x)?;
+        Ok(into_vector(x))
     }
 
-    /// Solves `A X = B` column-by-column.
+    /// Solves `A X = B` for all right-hand sides at once: permute the rows
+    /// of `B`, then unit-lower forward and upper backward substitution on
+    /// the packed factor.
+    ///
+    /// Both passes are row-oriented and bit-identical to solving each
+    /// column separately (see [`Cholesky::solve_matrix`](crate::Cholesky::solve_matrix)).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Lu::solve`].
+    /// [`MathError::DimensionMismatch`] when `b.rows()` differs from the
+    /// factored dimension.
     pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
         if b.rows() != self.dim() {
             return Err(MathError::DimensionMismatch {
@@ -132,14 +124,21 @@ impl Lu {
                 right: b.shape(),
             });
         }
-        let mut out = Matrix::zeros(b.rows(), b.cols());
-        for j in 0..b.cols() {
-            let x = self.solve(&b.col(j))?;
-            for i in 0..b.rows() {
-                out[(i, j)] = x[i];
-            }
+        let mut x = Matrix::zeros(b.rows(), b.cols());
+        for (i, &p) in self.perm.iter().enumerate() {
+            x.row_mut(i).copy_from_slice(b.row(p));
         }
-        Ok(out)
+        self.substitute(&mut x)?;
+        Ok(x)
+    }
+
+    /// `X ← U⁻¹·L⁻¹·X` in place, on already-permuted right-hand sides.
+    fn substitute(&self, x: &mut Matrix) -> Result<()> {
+        let lu = &self.lu;
+        // Factorization already refused pivots below PIVOT_EPS, so the
+        // backward pass's check never fires.
+        forward_rows(x, |i, j| lu[(i, j)], |_| None)?;
+        backward_rows(x, |i, j| lu[(i, j)], |i| Some(lu[(i, i)]))
     }
 
     /// Inverse of the factored matrix.

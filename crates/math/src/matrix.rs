@@ -207,6 +207,68 @@ impl Matrix {
         Ok(out)
     }
 
+    /// `self * u` for upper-triangular `u`, skipping its structural zeros.
+    ///
+    /// Entries of `u` below the diagonal are not read (taken as zero). For
+    /// finite `self` the result is bit-identical to [`Matrix::matmul`]:
+    /// every skipped term is `a·0 = ±0`, and adding `±0` never changes an
+    /// accumulator that starts at `+0` (such a sum can never be `−0`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MathError::DimensionMismatch`] when `self.cols != u.rows`
+    /// or `u` is not square.
+    pub fn matmul_upper(&self, u: &Matrix) -> Result<Matrix> {
+        if self.cols != u.rows || !u.is_square() {
+            return Err(MathError::DimensionMismatch {
+                left: self.shape(),
+                right: u.shape(),
+            });
+        }
+        Ok(self.matmul_spans(u, |k| k..u.cols))
+    }
+
+    /// `self * uᵀ` for upper-triangular `u`, skipping its structural zeros.
+    ///
+    /// Entries of `u` below the diagonal are not read. Bit-identical to
+    /// `self.matmul(&u.transpose())` whenever `self` is finite, for the
+    /// reason given in [`Matrix::matmul_upper`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MathError::DimensionMismatch`] when `self.cols != u.cols`
+    /// or `u` is not square.
+    pub fn matmul_upper_tr(&self, u: &Matrix) -> Result<Matrix> {
+        if self.cols != u.cols || !u.is_square() {
+            return Err(MathError::DimensionMismatch {
+                left: self.shape(),
+                right: u.shape(),
+            });
+        }
+        // Row k of uᵀ (column k of u) is nonzero only in its first k + 1
+        // entries.
+        Ok(self.matmul_spans(&u.transpose(), |k| 0..k + 1))
+    }
+
+    /// [`Matrix::matmul`] reading only `rhs[k][span(k)]` of each row `k`.
+    fn matmul_spans(&self, rhs: &Matrix, span: impl Fn(usize) -> std::ops::Range<usize>) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        for i in 0..self.rows {
+            for k in 0..self.cols {
+                let a = self[(i, k)];
+                if a == 0.0 {
+                    continue;
+                }
+                let cols = span(k);
+                let rrow = &rhs.row(k)[cols.clone()];
+                for (o, &r) in out.row_mut(i)[cols].iter_mut().zip(rrow) {
+                    *o += a * r;
+                }
+            }
+        }
+        out
+    }
+
     /// Cache-blocked matrix product, mirroring how the backend accelerator
     /// iterates over tiles of the operands (paper Sec. VI-A: "the compute
     /// units have to support computations for only a block").
@@ -503,7 +565,8 @@ impl Matrix {
         crate::cholesky::Cholesky::factor(self)?.solve(b)
     }
 
-    /// Solves `self * X = B` column-by-column for SPD `self`.
+    /// Solves `self * X = B` for SPD `self`, all right-hand sides at once
+    /// (see [`crate::Cholesky::solve_matrix`]).
     ///
     /// # Errors
     ///

@@ -4,6 +4,13 @@
 //! the update (the "QR" kernel of paper Fig. 7) and inside the
 //! least-squares triangulation of feature tracks. `A = Q·R` with `Q`
 //! orthonormal (thin) and `R` upper-triangular.
+//!
+//! The matrices are row-major and tall (the MSCKF stack is ~1000 × 195),
+//! so both the factorization and `Qᵀ` application run row-oriented: each
+//! reflector is a rank-1 update that streams whole rows, accumulating every
+//! column's dot product over the rows in ascending order. That is the same
+//! order a column-at-a-time Householder sweep uses, so the results are
+//! bit-identical to one while the inner loops vectorise across columns.
 
 use crate::error::MathError;
 use crate::matrix::Matrix;
@@ -36,6 +43,14 @@ pub struct Qr {
 impl Qr {
     /// Factors `a` (requires at least as many rows as columns).
     ///
+    /// Each reflector is applied to the trailing columns as a row-oriented
+    /// rank-1 update: `dots[k+1..n] += v_i·row_i[k+1..n]` over the rows `i`
+    /// in ascending order, then `row_i[k+1..n] -= v_i·β·dots`. Every
+    /// column's dot product still accumulates its rows in the same order
+    /// as a column-at-a-time Householder sweep, so the factor is
+    /// bit-identical to one; but the inner loops stream contiguous rows of
+    /// the row-major matrix and vectorise across columns.
+    ///
     /// # Errors
     ///
     /// [`MathError::Underdetermined`] when `rows < cols`.
@@ -46,6 +61,7 @@ impl Qr {
         }
         let mut qr = a.clone();
         let mut betas = Vec::with_capacity(n);
+        let mut dots = vec![0.0; n];
         for k in 0..n {
             // Build the Householder reflector annihilating below (k,k).
             let mut norm = 0.0;
@@ -69,17 +85,31 @@ impl Qr {
             } else {
                 2.0 / vtv
             };
-            // Apply to remaining columns: A ← (I - β v vᵀ) A.
-            for j in (k + 1)..n {
-                let mut dot = v0 * qr[(k, j)];
-                for i in (k + 1)..m {
-                    dot += qr[(i, k)] * qr[(i, j)];
+            // Apply to remaining columns: A ← (I - β v vᵀ) A, as
+            // dots = vᵀ A[:, k+1..] accumulated row by row, then
+            // A[i, k+1..] -= v_i · β·dots.
+            let dots = &mut dots[k + 1..];
+            for (d, &x) in dots.iter_mut().zip(&qr.row(k)[k + 1..]) {
+                *d = v0 * x;
+            }
+            for i in (k + 1)..m {
+                let row = qr.row(i);
+                let vi = row[k];
+                for (d, &x) in dots.iter_mut().zip(&row[k + 1..]) {
+                    *d += vi * x;
                 }
-                let s = beta * dot;
-                qr[(k, j)] -= s * v0;
-                for i in (k + 1)..m {
-                    let upd = s * qr[(i, k)];
-                    qr[(i, j)] -= upd;
+            }
+            for d in dots.iter_mut() {
+                *d *= beta;
+            }
+            for (x, &s) in qr.row_mut(k)[k + 1..].iter_mut().zip(dots.iter()) {
+                *x -= s * v0;
+            }
+            for i in (k + 1)..m {
+                let row = qr.row_mut(i);
+                let vi = row[k];
+                for (x, &s) in row[k + 1..].iter_mut().zip(dots.iter()) {
+                    *x -= s * vi;
                 }
             }
             qr[(k, k)] = alpha;
@@ -112,32 +142,68 @@ impl Qr {
         Matrix::from_fn(n, n, |i, j| if j >= i { self.qr[(i, j)] } else { 0.0 })
     }
 
-    /// Applies `Qᵀ` to a vector without forming `Q`.
+    /// Applies `Qᵀ` to a vector without forming `Q`; the one-column case
+    /// of [`Qr::qt_mul_matrix`].
     ///
     /// # Panics
     ///
     /// Panics if `b.len()` differs from the factored row count.
     pub fn qt_mul(&self, b: &Vector) -> Vector {
         assert_eq!(b.len(), self.rows(), "qt_mul length mismatch");
-        let (m, n) = self.qr.shape();
         let mut y = b.clone();
-        for k in 0..n {
-            let beta = self.betas[k];
+        self.apply_qt(y.as_mut_slice(), 1);
+        y
+    }
+
+    /// Applies `Qᵀ` to every column of `b` without forming `Q`.
+    ///
+    /// Row-oriented like [`Qr::factor`]: each reflector accumulates
+    /// `vᵀ·B` row by row, then updates each row, so every column is
+    /// bit-identical to [`Qr::qt_mul`] of that column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.rows()` differs from the factored row count.
+    pub fn qt_mul_matrix(&self, b: &Matrix) -> Matrix {
+        assert_eq!(b.rows(), self.rows(), "qt_mul_matrix row mismatch");
+        let mut y = b.clone();
+        let c = y.cols();
+        self.apply_qt(y.as_mut_slice(), c);
+        y
+    }
+
+    /// Applies the reflectors in order to a row-major `m × c` buffer.
+    fn apply_qt(&self, y: &mut [f64], c: usize) {
+        if c == 0 {
+            return;
+        }
+        let mut dots = vec![0.0; c];
+        for (k, &beta) in self.betas.iter().enumerate() {
             if beta == 0.0 {
                 continue;
             }
-            let mut dot = y[k];
-            for i in (k + 1)..m {
-                dot += self.qr[(i, k)] * y[i];
+            let (head, tail) = y.split_at_mut((k + 1) * c);
+            let yk = &mut head[k * c..];
+            dots.copy_from_slice(yk);
+            for (i, yi) in tail.chunks_exact(c).enumerate() {
+                let vi = self.qr[(k + 1 + i, k)];
+                for (d, &x) in dots.iter_mut().zip(yi) {
+                    *d += vi * x;
+                }
             }
-            let s = beta * dot;
-            y[k] -= s;
-            for i in (k + 1)..m {
-                let upd = s * self.qr[(i, k)];
-                y[i] -= upd;
+            for d in dots.iter_mut() {
+                *d *= beta;
+            }
+            for (x, &s) in yk.iter_mut().zip(&dots) {
+                *x -= s;
+            }
+            for (i, yi) in tail.chunks_exact_mut(c).enumerate() {
+                let vi = self.qr[(k + 1 + i, k)];
+                for (x, &s) in yi.iter_mut().zip(&dots) {
+                    *x -= s * vi;
+                }
             }
         }
-        y
     }
 
     /// The thin orthonormal factor `Q` (`m × n`).
